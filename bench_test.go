@@ -111,8 +111,8 @@ func BenchmarkTable1_AddressLookup_bur(b *testing.B) {
 // HandleTMC_AL_po cell: the same exhaustive sweep under a zone-memory budget
 // far too high to ever trip. Its CI baseline (scripts/bench_baseline.json)
 // sits a fixed handful of allocs/op above the unbudgeted twin — the one-time
-// per-run budget cells — pinning the accounting itself to zero allocations
-// on the per-state hot path.
+// per-run telemetry cells — pinning the accounting itself to zero
+// allocations on the per-state hot path.
 func BenchmarkTable1_HandleTMC_AL_po_Budgeted(b *testing.B) {
 	b.ReportAllocs()
 	row := icrns.Table1Rows[1]

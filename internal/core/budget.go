@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/dbm"
 )
@@ -24,11 +23,12 @@ import (
 //   - Worker-side zone bytes are known at pool get/put: every full matrix in
 //     the run — worker scratch, admitted states still in flight — is drawn
 //     from some worker's dbm.Pool, whose gets/reuses counters already record
-//     how many matrices it allocated (gets − reuses). At each checkpoint a
-//     worker publishes its own pool's allocation into its cache-line-padded
-//     cell (a plain store, single writer) and sums all cells against the
-//     limit. The cells are allocated only when a memory budget is
-//     configured, so unbudgeted runs pay nothing — not even the allocation.
+//     how many matrices it allocated (gets − reuses). Each worker publishes
+//     its own pool's allocation into its telemetry cell (workerCell, a plain
+//     store, single writer) at the top of every expansion, and at each
+//     checkpoint sums all cells against the limit. The cells are allocated
+//     only when a memory budget or a Monitor reads them, so unbudgeted,
+//     unmonitored runs pay nothing — not even the allocation.
 //   - Store-side bytes are charged at their ACTUAL packed footprint: the
 //     passed store tracks the exact bytes of its compact zone buffers plus
 //     its interned discrete vectors (store.go), and the checkpoint adds that
@@ -66,46 +66,11 @@ func (p *PanicError) Error() string {
 	return fmt.Sprintf("core: worker %d panicked: %v", p.Worker, p.Value)
 }
 
-// budgetCell is one worker's published zone-allocation bytes, padded so
-// neighboring workers' stores never share a cache line.
-type budgetCell struct {
-	bytes atomic.Int64
-	_     [56]byte
-}
-
-// memBudget accounts a run's zone memory against Options.MaxBytes.
-type memBudget struct {
-	limit int64
-	// zoneBytes is the size of one pooled matrix (dim² bounds).
-	zoneBytes int64
-	// base charges the one allocation made before workers start: the initial
-	// state's zone (its packed store copy is inside the stored-bytes total).
-	base  int64
-	cells []budgetCell
-}
-
-func newMemBudget(limit int64, dim, workers int) *memBudget {
-	zb := dbm.ZoneBytes(dim)
-	return &memBudget{
-		limit:     limit,
-		zoneBytes: zb,
-		base:      zb,
-		cells:     make([]budgetCell, workers),
-	}
-}
-
-// publish stores worker w's pool allocation into its cell; single writer.
-func (b *memBudget) publish(w int, pool *dbm.Pool) {
-	gets, reuses := pool.Stats()
-	b.cells[w].bytes.Store(int64(gets-reuses) * b.zoneBytes)
-}
-
-// exceeded sums every worker's published bytes plus the passed store's
-// actual packed footprint against the limit.
-func (b *memBudget) exceeded(storedBytes int64) bool {
-	total := b.base + storedBytes
-	for i := range b.cells {
-		total += b.cells[i].bytes.Load()
-	}
-	return total > b.limit
+// memExceeded reports whether the run's memory has passed Options.MaxBytes:
+// every worker's published pool allocation plus the initial state's zone
+// (drawn before workers start), at full-matrix size, plus the passed store's
+// actual packed footprint.
+func (e *explorer) memExceeded() bool {
+	_, zones := e.cellTotals()
+	return (1+zones)*dbm.ZoneBytes(e.c.eng.dim)+e.passed.bytes() > e.opts.MaxBytes
 }

@@ -81,12 +81,12 @@ func TestChaosInjectedAllocFailure(t *testing.T) {
 }
 
 // TestChaosStorePanicContained injects a panic inside compact-store admission
-// ("core/store" fires at the top of storeEntry.admit, i.e. while the pstore
-// variant holds a shard lock) and requires a contained *PanicError. The
-// follow-up sweeps prove two things: the shard mutex was released by the
-// deferred unlock (a leaked lock would deadlock the re-sweep), and the store
-// swap left the checker reusable — the post-chaos sweep is bit-identical to a
-// fresh checker's.
+// ("core/store" fires at the top of storeEntry.admit, i.e. while the store
+// holds a shard lock: the single shard at Workers 1, one of 64 at Workers 4)
+// and requires a contained *PanicError. The follow-up sweeps prove two
+// things: the shard mutex was released by the deferred unlock (a leaked lock
+// would deadlock the re-sweep), and the checker stayed reusable — the
+// post-chaos sweep is bit-identical to a fresh checker's.
 func TestChaosStorePanicContained(t *testing.T) {
 	defer faultinject.Reset()
 	for _, workers := range []int{1, 4} {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/obs"
 )
 
 // ErrCanceled reports an exploration stopped early through Options.Cancel.
@@ -31,15 +30,15 @@ var ErrDeadlineExceeded = errors.New("core: exploration deadline exceeded")
 const abortCheckMask = 31
 
 // This file is the unified exploration engine. Sequential and parallel runs
-// share one worker loop (explorer.run), one statistics path, and one trace
-// mechanism; they differ only in the frontier that schedules waiting states
-// and the passed-state store behind it:
+// share one worker loop (explorer.run), one passed store (store.go), one
+// telemetry cell per worker (workerCell), one statistics path, and one trace
+// mechanism; they differ only in the frontier that schedules waiting states:
 //
-//   - Workers <= 1: a listFrontier (BFS/DFS/RDFS discipline) over the
-//     unsharded store, executed inline on the calling goroutine.
+//   - Workers <= 1: a listFrontier (BFS/DFS/RDFS discipline), executed
+//     inline on the calling goroutine over a single-shard store.
 //   - Workers > 1: a dequeFrontier of Chase–Lev work-stealing deques
-//     (wsqueue.go) over the sharded pstore, executed by that many worker
-//     goroutines.
+//     (wsqueue.go), executed by that many worker goroutines over a store of
+//     parallelStoreShards lock shards.
 //
 // # Parallel trace reconstruction
 //
@@ -70,6 +69,15 @@ const abortCheckMask = 31
 // Log ownership rule: worker w appends only to logs[w] while the run is
 // live; stitch-up happens strictly after the worker barrier (or, for the
 // initial state, before workers start). No locks are needed.
+
+const (
+	// parallelStoreShards is the lock-shard count of a parallel run's passed
+	// store; a sequential run uses one shard.
+	parallelStoreShards = 64
+	// dequeCapacity is the initial ring size of each worker's Chase–Lev
+	// deque; rings double on demand.
+	dequeCapacity = 64
+)
 
 const (
 	// refWorkerShift packs a parent-log reference as worker<<shift | index.
@@ -148,48 +156,31 @@ func (t *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 // frontier schedules admitted states between push and expansion. push and
 // expanded are called by the worker that admitted/expanded the state; pop
 // returns nil when the exploration is over for that worker (no work
-// anywhere, or the stop flag is up).
+// anywhere, or the stop flag is up), and reports whether the state was
+// stolen from another worker. The frontier keeps no telemetry of its own:
+// explorer.run counts pushes, pops and steals in loop locals.
 type frontier interface {
 	push(w int, s *State)
-	pop(w int) *State
+	pop(w int) (s *State, stolen bool)
 	// expanded signals that a state obtained from pop has been fully
 	// expanded (every successor pushed); the parallel frontier counts these
 	// against its termination barrier.
 	expanded(w int)
-	// depth reports the current backlog — states admitted but not yet fully
-	// expanded — for progress monitoring. Safe to call from any goroutine
-	// while workers run; the value is a relaxed snapshot.
-	depth() int64
-	// steals reports how many states worker w has taken from other workers'
-	// deques so far — the work-stealing balance signal the sweep profiler
-	// samples. Always 0 for the sequential frontier. Safe from any goroutine
-	// (padded single-writer cells).
-	steals(w int) int64
 }
 
 // listFrontier is the sequential waiting list: FIFO for BFS, LIFO for
-// DFS/RDFS (successor shuffling happens in the worker loop). waiting, when
-// non-nil, mirrors len(list) atomically so Monitor.Snapshot can read the
-// backlog from another goroutine without racing the worker's appends; it is
-// allocated only for monitored runs, so the ordinary sequential hot path
-// pays no atomics.
+// DFS/RDFS (successor shuffling happens in the worker loop).
 type listFrontier struct {
-	order   Order
-	list    []*State
-	waiting *atomic.Int64 // non-nil only when a Monitor samples the run
-	stop    *atomic.Bool
+	order Order
+	list  []*State
+	stop  *atomic.Bool
 }
 
-func (f *listFrontier) push(_ int, s *State) {
-	f.list = append(f.list, s)
-	if f.waiting != nil {
-		f.waiting.Add(1)
-	}
-}
+func (f *listFrontier) push(_ int, s *State) { f.list = append(f.list, s) }
 
-func (f *listFrontier) pop(_ int) *State {
+func (f *listFrontier) pop(_ int) (*State, bool) {
 	if f.stop.Load() || len(f.list) == 0 {
-		return nil
+		return nil, false
 	}
 	var s *State
 	if f.order == BFS {
@@ -199,22 +190,10 @@ func (f *listFrontier) pop(_ int) *State {
 		s = f.list[len(f.list)-1]
 		f.list = f.list[:len(f.list)-1]
 	}
-	if f.waiting != nil {
-		f.waiting.Add(-1)
-	}
-	return s
+	return s, false
 }
 
 func (f *listFrontier) expanded(int) {}
-
-func (f *listFrontier) steals(int) int64 { return 0 }
-
-func (f *listFrontier) depth() int64 {
-	if f.waiting == nil {
-		return 0
-	}
-	return f.waiting.Load()
-}
 
 // dequeFrontier is the work-stealing frontier: one Chase–Lev deque per
 // worker (LIFO expansion, FIFO steals) and a pending counter as termination
@@ -223,26 +202,20 @@ func (f *listFrontier) depth() int64 {
 // decremented only after all of its successors have been pushed, so
 // pending == 0 is sound: no work exists and none can appear.
 type dequeFrontier struct {
-	deques []*wsDeque
-	rngs   []*rand.Rand // per-worker victim selection
-	// stealCells counts successful steals per thief: worker w bumps its own
-	// padded cell (single-writer load+store, never an RMW) on each steal, so
-	// the sweep profiler and steal totals read live without perturbing the
-	// scheduling path.
-	stealCells *obs.Cells
-	pending    atomic.Int64
-	stop       *atomic.Bool
+	deques  []*wsDeque
+	rngs    []*rand.Rand // per-worker victim selection
+	pending atomic.Int64
+	stop    *atomic.Bool
 }
 
-func newDequeFrontier(workers int, seed int64, dequeCap int64, stop *atomic.Bool) *dequeFrontier {
+func newDequeFrontier(workers int, seed int64, stop *atomic.Bool) *dequeFrontier {
 	f := &dequeFrontier{
-		deques:     make([]*wsDeque, workers),
-		rngs:       make([]*rand.Rand, workers),
-		stealCells: obs.NewCells(workers),
-		stop:       stop,
+		deques: make([]*wsDeque, workers),
+		rngs:   make([]*rand.Rand, workers),
+		stop:   stop,
 	}
 	for i := range f.deques {
-		f.deques[i] = newWSDeque(dequeCap)
+		f.deques[i] = newWSDeque(dequeCapacity)
 		f.rngs[i] = rand.New(rand.NewSource(seed ^ (int64(i+1) * 0x9E3779B9)))
 	}
 	return f
@@ -253,27 +226,26 @@ func (f *dequeFrontier) push(w int, s *State) {
 	f.deques[w].push(s)
 }
 
-func (f *dequeFrontier) pop(w int) *State {
+func (f *dequeFrontier) pop(w int) (*State, bool) {
 	me := f.deques[w]
 	rng := f.rngs[w]
 	idleSpins := 0
 	for {
 		if f.stop.Load() {
-			return nil
+			return nil, false
 		}
-		s := me.pop()
-		for attempt := 0; s == nil && attempt < 2*len(f.deques); attempt++ {
+		if s := me.pop(); s != nil {
+			return s, false
+		}
+		for attempt := 0; attempt < 2*len(f.deques); attempt++ {
 			if v := f.deques[rng.Intn(len(f.deques))]; v != me {
-				if s = v.steal(); s != nil {
-					f.stealCells.Add(w, 1)
+				if s := v.steal(); s != nil {
+					return s, true
 				}
 			}
 		}
-		if s != nil {
-			return s
-		}
 		if f.pending.Load() == 0 {
-			return nil
+			return nil, false
 		}
 		// Someone still holds work: back off without a lock so the next
 		// push is picked up by stealing.
@@ -288,25 +260,27 @@ func (f *dequeFrontier) pop(w int) *State {
 
 func (f *dequeFrontier) expanded(int) { f.pending.Add(-1) }
 
-func (f *dequeFrontier) depth() int64 { return f.pending.Load() }
-
-func (f *dequeFrontier) steals(w int) int64 { return f.stealCells.Get(w) }
-
 // explorer carries the shared mutable state of one exploration run. The only
-// shared structures are the passed store, the frontier, the parent logs
-// (per-worker ownership), the queries' per-worker accumulators and completion
-// atomics, and the atomics below.
+// shared structures are the passed store, the frontier, the parent logs and
+// telemetry cells (per-worker ownership), the queries' per-worker
+// accumulators and completion atomics, and the atomics below.
 type explorer struct {
 	c       *Checker
 	opts    Options
 	queries []Query // the attached query set (may be empty: plain sweep)
 	deadQs  []Query // subset of queries observing deadlocked states
-	passed  passedSet
-	front   frontier
-	logs    *parentLogs // nil when no trace can be requested
-	mon     *monView    // nil when no Monitor is attached
-	prof    *profRun    // nil unless the Monitor has profiling enabled
-	budget  *memBudget  // nil when no memory budget is configured
+	// store is the run's passed store, held by value so a run allocates
+	// only its shard array; passed points at it unless a test injects a
+	// reference set (Options.passed).
+	store  store
+	passed passedSet
+	front  frontier
+	logs   *parentLogs // nil when no trace can be requested
+	// cells holds one telemetry cell per worker; nil unless a Monitor or a
+	// MaxBytes budget reads them.
+	cells []workerCell
+	mon   *monView // nil when no Monitor is attached
+	prof  *profRun // nil unless the Monitor has profiling enabled
 
 	// hasCheck caches "Cancel, Deadline, or MaxBytes configured" so the
 	// worker loop pays a single predictable branch when none is.
@@ -324,6 +298,7 @@ type explorer struct {
 	popped      atomic.Int64
 	transitions atomic.Int64
 	deadlocks   atomic.Int64
+	steals      atomic.Int64
 	truncated   atomic.Bool
 	deadRef     atomic.Int64
 	firstErr    atomic.Pointer[error]
@@ -420,32 +395,39 @@ func (e *explorer) run(w int) {
 		shuffle = rand.New(rand.NewSource(e.opts.Seed ^ (int64(w) * 0x9E3779B97F4A7C)))
 	}
 	var succs []succ
-	var nPopped, nTransitions, nDeadlocks int64
-	var cell *monCell
-	if e.mon != nil {
-		cell = &e.mon.cells[w]
+	var nPopped, nTransitions, nDeadlocks, nSteals, nPushed int64
+	if w == 0 {
+		nPushed = 1 // explore pushed the initial state onto worker 0's frontier
+	}
+	var cell *workerCell
+	if e.cells != nil {
+		cell = &e.cells[w]
 	}
 	defer func() {
 		e.popped.Add(nPopped)
 		e.transitions.Add(nTransitions)
 		e.deadlocks.Add(nDeadlocks)
+		e.steals.Add(nSteals)
 	}()
 	for {
+		if cell != nil {
+			// The run's one telemetry publication: single-writer relaxed
+			// stores of the loop locals and the pool allocation into this
+			// worker's padded cell, summed on read by Monitor.Snapshot, the
+			// memory budget and the profiler. Never an RMW, never contended.
+			cell.publish(nPopped, nTransitions, nDeadlocks, nPushed-nPopped, ctx.pool)
+		}
 		if e.hasCheck && nPopped&abortCheckMask == 0 {
 			if err := e.abortErr(); err != nil {
 				e.fail(err)
 				return
 			}
-			if e.budget != nil {
-				// Publish this worker's pool allocation and test the global
-				// sum — single-writer stores plus a few loads, only between
-				// expansions, only when a budget is configured. The passed
-				// store contributes its actual packed footprint.
-				e.budget.publish(w, ctx.pool)
-				if e.budget.exceeded(e.passed.bytes()) {
-					e.fail(ErrMemoryBudget)
-					return
-				}
+			// The budget sums every worker's published pool allocation and
+			// the passed store's actual packed footprint — a few loads, only
+			// between expansions, only when a budget is configured.
+			if e.opts.MaxBytes > 0 && e.memExceeded() {
+				e.fail(ErrMemoryBudget)
+				return
 			}
 		}
 		if faultinject.Enabled {
@@ -454,27 +436,23 @@ func (e *explorer) run(w int) {
 				return
 			}
 		}
-		if cell != nil {
-			// Live-progress publication: single-writer relaxed stores of the
-			// loop locals into this worker's padded cell, summed on read by
-			// Monitor.Snapshot. Never an RMW, never contended — the hot path
-			// cost is two or three uncontended stores per expansion.
-			cell.publish(nPopped, nTransitions, nDeadlocks)
-		}
 		if e.prof != nil && nPopped&e.prof.mask == 0 {
 			// Sweep-profile sampling: every (mask+1)-th expansion the worker
-			// appends one point to its own ring — loop locals, its steal
-			// cell, and a few shared atomics. The disabled path is the nil
-			// check alone, and the rings were allocated at attach, so an
+			// appends one point to its own ring — loop locals, the cells and
+			// a few shared atomics. The disabled path is the nil check
+			// alone, and the rings were allocated at attach, so an
 			// unprofiled sweep provably gains zero allocations.
 			gets, reuses := ctx.pool.Stats()
-			e.sampleProfile(w, nPopped, nTransitions, gets, reuses)
+			e.sampleProfile(w, nPopped, nTransitions, nSteals, gets, reuses)
 		}
-		s := e.front.pop(w)
+		s, stolen := e.front.pop(w)
 		if s == nil {
 			return
 		}
 		nPopped++
+		if stolen {
+			nSteals++
+		}
 		var err error
 		succs, err = e.c.eng.successors(ctx, s, succs[:0])
 		if err != nil {
@@ -530,6 +508,7 @@ func (e *explorer) run(w int) {
 				return
 			}
 			e.front.push(w, sc.state)
+			nPushed++
 		}
 		e.front.expanded(w)
 		// s is fully expanded and the passed store holds its own copies of
@@ -563,8 +542,8 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 			return res, aerr
 		}
 	}
-	if opts.MaxBytes > 0 {
-		e.budget = newMemBudget(opts.MaxBytes, c.eng.dim, workers)
+	if opts.Monitor != nil || opts.MaxBytes > 0 {
+		e.cells = make([]workerCell, workers)
 	}
 	e.deadRef.Store(noRef)
 	e.live.Store(int64(len(queries)))
@@ -590,16 +569,18 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 		e.logs = newParentLogs(workers)
 	}
 
-	if parallel {
-		e.passed = newPStore(opts.storeShardCount())
-	} else {
-		e.passed = newStore()
-	}
 	if opts.passed != nil {
 		// Test hook: a caller-supplied passed set replaces the store, so the
-		// compact-store implementations can be differentially checked against
-		// a reference (store_oracle_test.go).
+		// compact store can be differentially checked against a reference
+		// (store_oracle_test.go).
 		e.passed = opts.passed
+	} else {
+		shards := 1
+		if parallel {
+			shards = parallelStoreShards
+		}
+		e.store.init(shards)
+		e.passed = &e.store
 	}
 	e.passed.add(init)
 	e.stored.Store(1)
@@ -625,13 +606,9 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	}
 	if !drained {
 		if parallel {
-			e.front = newDequeFrontier(workers, opts.Seed, opts.dequeCapacity(), &e.stop)
+			e.front = newDequeFrontier(workers, opts.Seed, &e.stop)
 		} else {
-			lf := &listFrontier{order: opts.Order, stop: &e.stop}
-			if opts.Monitor != nil {
-				lf.waiting = new(atomic.Int64)
-			}
-			e.front = lf
+			e.front = &listFrontier{order: opts.Order, stop: &e.stop}
 		}
 		e.front.push(0, init)
 	}

@@ -14,28 +14,28 @@ import (
 // (b) the packed copy never aliases the state's full zone — mutating one
 // never corrupts the other.
 func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
-	st := newStore()
+	st := newStore(1)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 
 	small := mkState(locs, vars, 10)
-	if !st.Add(small) {
+	if !st.add(small) {
 		t.Fatal("first zone must be admitted")
 	}
 	// The store must have packed its own buffer for small.Zone.
-	gets0, _ := st.cpool.Stats()
+	gets0, _ := st.shards[0].cpool.Stats()
 	if gets0 == 0 {
 		t.Fatal("admission must draw the packed copy from the compact pool")
 	}
 
 	big := mkState(locs, vars, 20)
-	if !st.Add(big) {
+	if !st.add(big) {
 		t.Fatal("covering zone must be admitted")
 	}
-	// small's packed copy was pruned and released inside Add, and the pack
+	// small's packed copy was pruned and released inside add, and the pack
 	// of big's zone (same size class) must have reused its buffer —
-	// recycling closes the loop within a single Add.
-	if _, reuses := st.cpool.Stats(); reuses == 0 {
+	// recycling closes the loop within a single add.
+	if _, reuses := st.shards[0].cpool.Stats(); reuses == 0 {
 		t.Fatal("pruned stored zone buffer must be reused for the next packed copy")
 	}
 
@@ -51,10 +51,10 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 	// x<=20 still subsumes x<=15, and x<=25 is still new.
 	big.Zone.SetInit()
 	small.Zone.SetInit()
-	if st.Add(mkState(locs, vars, 15)) {
+	if st.add(mkState(locs, vars, 15)) {
 		t.Error("stored zone corrupted: x<=15 no longer subsumed")
 	}
-	if !st.Add(mkState(locs, vars, 25)) {
+	if !st.add(mkState(locs, vars, 25)) {
 		t.Error("stored zone corrupted: x<=25 not admitted")
 	}
 }
@@ -63,18 +63,18 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 // contract: mutating a state's zone after admission must not change what
 // the store believes, because the store owns an independent copy.
 func TestAddDoesNotRetainCallerZone(t *testing.T) {
-	st := newStore()
+	st := newStore(1)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 
 	s := mkState(locs, vars, 10)
-	if !st.Add(s) {
+	if !st.add(s) {
 		t.Fatal("zone must be admitted")
 	}
 	// Simulate the explorer recycling the state's own zone.
 	s.Zone.SetInit()
 
-	if st.Add(mkState(locs, vars, 8)) {
+	if st.add(mkState(locs, vars, 8)) {
 		t.Error("store lost the admitted zone x<=10 after the caller's copy was recycled")
 	}
 }

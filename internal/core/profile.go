@@ -18,8 +18,8 @@ import (
 // bench gate (Table1_HandleTMC_AL_po vs ..._Profiled) pins the disabled
 // sweep to exactly its historical allocs/op. Sampling itself is single-
 // writer work: each worker appends to its own ring at a fixed expansion
-// stride, reads only counters it owns (loop locals, its steal cell, the
-// shared store's atomics), and never takes a lock.
+// stride, reads only its loop locals, the run's telemetry cells and the
+// shared store's atomics, and never takes a lock.
 
 // ProfileConfig tunes the sweep-profile recorder. Zero values select the
 // documented defaults.
@@ -156,17 +156,18 @@ func (r *profRecorder) newRun(workers int) *profRun {
 // sample appends one point to worker w's ring. Owner only: the worker loop
 // calls this at its sampling stride; nothing else writes the ring until the
 // barrier.
-func (e *explorer) sampleProfile(w int, nPopped, nTransitions int64, gets, reuses int) {
+func (e *explorer) sampleProfile(w int, nPopped, nTransitions, nSteals int64, gets, reuses int) {
 	pr := e.prof
 	ring := &pr.rings[w]
+	live, _ := e.cellTotals()
 	s := WorkerSample{
 		AtNS:        time.Now().UnixNano(),
 		Popped:      nPopped,
 		Transitions: nTransitions,
-		Steals:      e.front.steals(w),
+		Steals:      nSteals,
 		PoolGets:    int64(gets),
 		PoolReuses:  int64(reuses),
-		Frontier:    e.front.depth(),
+		Frontier:    live.Frontier,
 		StoredBytes: e.passed.bytes(),
 	}
 	if len(ring.samples) < pr.max {
@@ -201,11 +202,7 @@ func (pr *profRun) finalize(e *explorer, totals Progress) {
 		}
 		p.Series[w] = ws
 	}
-	if e.front != nil {
-		for w := range pr.rings {
-			p.Steals += e.front.steals(w)
-		}
-	}
+	p.Steals = e.steals.Load()
 	if e.passed != nil {
 		p.StoreContention = e.passed.contention()
 	}

@@ -1,16 +1,20 @@
 package core
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/dbm"
+)
 
 // This file is the live-progress view of the unified explorer: a Monitor
 // attached through Options.Monitor lets another goroutine sample a running
 // exploration (states stored, expansion counters, frontier backlog) without
 // perturbing it. The mechanism follows the per-worker ownership style of the
 // rest of the engine: every worker publishes its loop-local counters into its
-// own cache-line-padded cell with plain atomic stores (single writer, never a
-// read-modify-write, never contended), and Snapshot sums the cells. Once the
-// run finishes, Snapshot switches to the explorer's exact flushed totals, so
-// a final sample equals the run's Stats.
+// own cache-line-padded workerCell with plain atomic stores (single writer,
+// never a read-modify-write, never contended), and Snapshot sums the cells.
+// Once the run finishes, Snapshot switches to the explorer's exact flushed
+// totals, so a final sample equals the run's Stats.
 
 // Progress is a point-in-time view of one exploration.
 type Progress struct {
@@ -42,29 +46,63 @@ type Progress struct {
 	Running bool
 }
 
-// monCell is one worker's published counters, padded so neighboring workers'
-// stores never share a cache line.
-type monCell struct {
+// workerCell is one worker's published telemetry, the run's single
+// per-worker publication point: explorer.run stores the worker's loop
+// counters here at the top of every expansion, and readers on other
+// goroutines — Monitor.Snapshot, the memory budget, the sweep profiler —
+// merge the cells by summing (explorer.cellTotals). Exactly one goroutine
+// writes each cell, with plain atomic stores: never a read-modify-write,
+// never a lock. Padding keeps neighboring workers' cells on separate cache
+// lines. A run allocates its cells only when a Monitor or a MaxBytes budget
+// reads them.
+type workerCell struct {
 	popped      atomic.Int64
 	transitions atomic.Int64
 	deadlocks   atomic.Int64
-	_           [40]byte
+	// backlog is the worker's share of the frontier: states it pushed minus
+	// states it popped. The shares of all workers sum to the backlog.
+	backlog atomic.Int64
+	// zones counts the full matrices the worker's pool has allocated and not
+	// recycled (gets − reuses): the budget's worker-side memory.
+	zones atomic.Int64
+	_     [24]byte
 }
 
-// publish stores the worker's loop locals; single writer per cell.
-func (c *monCell) publish(popped, transitions, deadlocks int64) {
+// publish stores the worker's loop locals and pool allocation; single
+// writer per cell.
+func (c *workerCell) publish(popped, transitions, deadlocks, backlog int64, pool *dbm.Pool) {
 	c.popped.Store(popped)
 	c.transitions.Store(transitions)
 	c.deadlocks.Store(deadlocks)
+	c.backlog.Store(backlog)
+	gets, reuses := pool.Stats()
+	c.zones.Store(int64(gets - reuses))
+}
+
+// cellTotals merges the run's published cells: the popped, transitions,
+// deadlocks and frontier counters of a Progress, plus the workers' live
+// matrix count. While workers run the view is relaxed — slightly stale,
+// never torn — so a backlog share published late can make the sum dip
+// below zero for a moment; it is clamped.
+func (e *explorer) cellTotals() (p Progress, zones int64) {
+	for i := range e.cells {
+		c := &e.cells[i]
+		p.Popped += c.popped.Load()
+		p.Transitions += c.transitions.Load()
+		p.Deadlocks += c.deadlocks.Load()
+		p.Frontier += c.backlog.Load()
+		zones += c.zones.Load()
+	}
+	p.Frontier = max(p.Frontier, 0)
+	return p, zones
 }
 
 // monView binds a Monitor to one exploration run. The explorer pointer is
 // dropped at completion so a long-retained Monitor (a finished service job
 // in a result cache) pins only the final totals — never the run's passed
-// store, parent logs, or zones.
+// store, parent logs, telemetry cells, or zones.
 type monView struct {
-	e     atomic.Pointer[explorer]
-	cells []monCell
+	e atomic.Pointer[explorer]
 	// prof is the run's profile sampling state; nil unless the Monitor has
 	// profiling enabled (EnableProfile), so a plain monitored run allocates
 	// nothing for it.
@@ -82,7 +120,7 @@ func (v *monView) setDone() {
 		return
 	}
 	p := Progress{
-		Workers:     len(v.cells),
+		Workers:     len(e.cells),
 		Stored:      e.stored.Load(),
 		Popped:      e.popped.Load(),
 		Transitions: e.transitions.Load(),
@@ -118,7 +156,7 @@ type Monitor struct {
 // after the explorer's frontier is in place, so the atomic store here orders
 // every explorer field Snapshot reads.
 func (m *Monitor) attach(e *explorer, workers int) *monView {
-	v := &monView{cells: make([]monCell, workers)}
+	v := &monView{}
 	if r := m.prof.Load(); r != nil {
 		v.prof = r.newRun(workers)
 	}
@@ -147,19 +185,11 @@ func (m *Monitor) Snapshot() Progress {
 		}
 		return Progress{}
 	}
-	p := Progress{Workers: len(v.cells), Stored: e.stored.Load(), Running: true}
+	p, _ := e.cellTotals()
+	p.Workers, p.Stored, p.Running = len(e.cells), e.stored.Load(), true
 	if e.passed != nil {
 		p.StoredBytes = e.passed.bytes()
 		p.InternHits, p.InternMisses = e.passed.internStats()
-	}
-	for i := range v.cells {
-		c := &v.cells[i]
-		p.Popped += c.popped.Load()
-		p.Transitions += c.transitions.Load()
-		p.Deadlocks += c.deadlocks.Load()
-	}
-	if f := e.front; f != nil {
-		p.Frontier = f.depth()
 	}
 	return p
 }

@@ -55,13 +55,14 @@ type Options struct {
 	// when a truncated answer is still useful as a bound; use StateBudget
 	// when exceeding the cap must be an error the caller cannot miss.
 	StateBudget int
-	// MaxBytes bounds the run's zone memory: once the matrices allocated by
-	// the exploration's pools exceed this many bytes, the run fails with
-	// ErrMemoryBudget and partial Stats via the same between-expansions
-	// abort point as Cancel. 0 means unlimited. Accounting is per-worker
-	// (budget.go) and adds nothing to the visitor path; the count covers
-	// zone storage only — the dominant consumer — not discrete vectors or
-	// store bookkeeping.
+	// MaxBytes bounds the run's memory: once the full matrices drawn from
+	// the workers' zone pools plus the passed store's footprint — its packed
+	// zones and interned discrete vectors (passedSet.bytes) — exceed this
+	// many bytes, the run fails with ErrMemoryBudget and partial Stats via
+	// the same between-expansions abort point as Cancel. 0 means unlimited.
+	// Accounting is per-worker (budget.go) and adds nothing to the visitor
+	// path; store bookkeeping (buckets, entry headers) and parent logs are
+	// not counted.
 	MaxBytes int64
 	// StopAtDeadlock ends the exploration at the first deadlocked state
 	// (no action successor from the state or any of its delay successors),
@@ -77,16 +78,6 @@ type Options struct {
 	// cores too. Visitors and property predicates are invoked concurrently
 	// when Workers > 1 and must be safe for concurrent use.
 	Workers int
-	// StoreShards sets the lock-shard count of the parallel passed store,
-	// rounded up to a power of two; 0 selects the default of 64. More shards
-	// cut contention on huge graphs with many workers; fewer save memory on
-	// small ones. Only meaningful with Workers > 1.
-	StoreShards int
-	// DequeCapacity sets the initial ring capacity of each worker's
-	// Chase–Lev deque, rounded up to a power of two; 0 selects the default
-	// of 64. Deques grow on demand, so this only tunes early-run growth
-	// churn. Only meaningful with Workers > 1.
-	DequeCapacity int
 
 	// Cancel, when non-nil, cancels the exploration cooperatively: once the
 	// channel is closed (or receives), every worker stops within a bounded
@@ -119,38 +110,6 @@ type Options struct {
 	// differentially check admission (store_oracle_test.go). Must be safe for
 	// concurrent use when Workers > 1.
 	passed passedSet
-}
-
-const (
-	defaultStoreShards   = 64
-	defaultDequeCapacity = 64
-)
-
-// nextPow2 rounds n up to a power of two (minimum 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// storeShardCount resolves StoreShards to the power-of-two shard count the
-// sharded passed store indexes with.
-func (o Options) storeShardCount() int {
-	if o.StoreShards <= 0 {
-		return defaultStoreShards
-	}
-	return nextPow2(o.StoreShards)
-}
-
-// dequeCapacity resolves DequeCapacity to the power-of-two ring size the
-// Chase–Lev deques start from.
-func (o Options) dequeCapacity() int64 {
-	if o.DequeCapacity <= 0 {
-		return defaultDequeCapacity
-	}
-	return int64(nextPow2(o.DequeCapacity))
 }
 
 // Stats reports exploration effort.

@@ -9,11 +9,11 @@ import (
 	"repro/internal/ta"
 )
 
-// passedSet is the passed-state interface of the unified explorer: the
-// sequential store and the sharded pstore implement the same admission
-// protocol, and the worker loop only ever talks to this. bytes and
-// internStats are live views for the memory budget and progress monitor;
-// both are safe to call from other goroutines while workers add.
+// passedSet is the passed-state interface of the explorer. store is its one
+// production implementation; the lockstep oracle (store_oracle_test.go)
+// injects a full-DBM reference through it. bytes and internStats are live
+// views for the memory budget and progress monitor; both are safe to call
+// from other goroutines while workers add.
 type passedSet interface {
 	add(s *State) bool
 	size() int
@@ -23,7 +23,7 @@ type passedSet interface {
 	// internStats reports discrete-vector intern-table hits and misses.
 	internStats() (hits, misses int64)
 	// contention counts admissions that found their shard lock held and had
-	// to wait (always 0 for the sequential store).
+	// to wait (always 0 in a sequential run).
 	contention() int64
 }
 
@@ -34,15 +34,22 @@ type passedSet interface {
 // standard inclusion-checking subsumption that makes zone-graph exploration
 // terminate.
 //
+// The bucket space is split into lock shards so parallel workers exploring
+// disjoint regions of the zone graph rarely contend; a sequential run uses
+// one shard, whose lock is never contended. Each shard owns its own compact
+// pool and intern table, used only under the shard lock — a discrete state
+// always hashes to the same shard, so repeats of its vectors intern within
+// that shard.
+//
 // # Zone ownership
 //
 // The store NEVER aliases the zone of an admitted state: on admission it
 // packs its own compact copy (dbm.EncodeCompact into a buffer from the
-// store-owned dbm.CompactPool). This is what makes recycling sound — a
+// shard-owned dbm.CompactPool). This is what makes recycling sound — a
 // pruned (subsumed) stored zone is referenced by nothing but the store and
 // its buffer can be released back into the compact pool immediately, even
-// while the pruned state is still sitting in a waiting list or arena with
-// its own zone. The full protocol:
+// while the pruned state is still sitting in a frontier with its own zone.
+// The full protocol:
 //
 //   - engine.fire produces states whose zones come from the worker's pool;
 //     the state owns its zone.
@@ -60,16 +67,26 @@ type passedSet interface {
 //
 // Store entries intern their discrete vectors (see internTable): location
 // vectors and variable valuations repeat heavily across entries, so each
-// unique vector is stored once per store — never an alias of a state's
+// unique vector is stored once per shard — never an alias of a state's
 // slices, since states recycle and entries do not.
 type store struct {
+	shards    []storeShard
+	mask      uint64 // len(shards)-1; the count is a power of two
+	zones     atomic.Int64
+	zoneBytes atomic.Int64
+	// contended counts adds that found their shard lock held (TryLock
+	// failed) and had to block — the sweep profile's store-contention total.
+	contended atomic.Int64
+}
+
+// storeShard is one lock shard, padded to its own cache line against false
+// sharing between neighboring shards.
+type storeShard struct {
+	mu      sync.Mutex
 	buckets map[uint64][]*storeEntry
-	zones   int
 	cpool   *dbm.CompactPool
 	intern  internTable
-	// zoneBytes tracks the packed bytes currently stored; atomic because a
-	// Monitor samples bytes() while the (single) worker adds.
-	zoneBytes atomic.Int64
+	_       [48]byte
 }
 
 type storeEntry struct {
@@ -78,11 +95,11 @@ type storeEntry struct {
 	key uint64
 	// locs and vrs are the interned location vector and variable valuation:
 	// shared with every other entry (and log, in principle) holding the same
-	// vector, owned by the store's intern table, immutable once published.
+	// vector, owned by the shard's intern table, immutable once published.
 	locs []uint64
 	vrs  []uint64
 	// zones holds the maximal zones in packed form; the buffers are owned by
-	// the store and recycle through its compact pool on prune.
+	// the store and recycle through its shard's compact pool on prune.
 	zones []dbm.Compact
 }
 
@@ -106,11 +123,68 @@ func (e *storeEntry) matches(key uint64, locs []ta.LocID, vars []int64) bool {
 	return true
 }
 
-func newStore() *store {
-	st := &store{buckets: make(map[uint64][]*storeEntry), cpool: dbm.NewCompactPool()}
-	st.intern.init()
-	return st
+// init prepares an empty store with the given shard count, which must be a
+// power of two. The store lives by value inside its explorer, so a run pays
+// one allocation for the shard array and none for the store itself.
+func (st *store) init(shards int) {
+	st.shards = make([]storeShard, shards)
+	st.mask = uint64(shards - 1)
+	for i := range st.shards {
+		st.shards[i].buckets = make(map[uint64][]*storeEntry)
+		st.shards[i].cpool = dbm.NewCompactPool()
+		st.shards[i].intern.init()
+	}
 }
+
+// add inserts the state unless it is subsumed, reporting whether it is new.
+// The admission runs under the shard lock; the packed copy is drawn from the
+// shard's compact pool and pruned zones are released into it. See the type
+// comment for the zone-ownership protocol.
+func (st *store) add(s *State) bool {
+	sh := &st.shards[s.discreteKey()&st.mask]
+	// The unlock is deferred so a panic inside the admission (contained per
+	// worker by explorer.runContained) releases the shard instead of hanging
+	// every other worker that hashes to it; the open-coded defer costs no
+	// allocation. The run is failing at that point, so the possibly
+	// half-admitted entry is only ever read by workers about to observe the
+	// stop flag — and the store, like the pools, dies with the run.
+	if !sh.mu.TryLock() {
+		st.contended.Add(1)
+		sh.mu.Lock()
+	}
+	defer sh.mu.Unlock()
+	delta, bytesDelta, admitted := lookupEntry(sh.buckets, s, &sh.intern).admit(s, sh.cpool)
+	if delta != 0 {
+		st.zones.Add(int64(delta))
+	}
+	if bytesDelta != 0 {
+		st.zoneBytes.Add(bytesDelta)
+	}
+	return admitted
+}
+
+// size returns the number of stored maximal zones.
+func (st *store) size() int { return int(st.zones.Load()) }
+
+// bytes returns the stored footprint: packed zones plus interned vectors.
+func (st *store) bytes() int64 {
+	total := st.zoneBytes.Load()
+	for i := range st.shards {
+		total += st.shards[i].intern.bytes.Load()
+	}
+	return total
+}
+
+func (st *store) internStats() (hits, misses int64) {
+	for i := range st.shards {
+		hits += st.shards[i].intern.hits.Load()
+		misses += st.shards[i].intern.misses.Load()
+	}
+	return hits, misses
+}
+
+// contention counts adds that had to wait for a shard lock.
+func (st *store) contention() int64 { return st.contended.Load() }
 
 // lookupEntry finds or creates the bucket entry for s's discrete state.
 // Entry creation interns the discrete vectors through it: repeats across
@@ -143,7 +217,7 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool) (delta int, bytesDel
 		// Chaos site inside compact admission: an injected error escalates to
 		// a panic so containment takes the exact path a real encoder or
 		// inclusion-scan crash would — explorer.runContained for the worker,
-		// the deferred unlock for a pstore shard.
+		// the deferred unlock for the store shard.
 		if err := faultinject.Fire("core/store"); err != nil {
 			panic(err)
 		}
@@ -171,41 +245,11 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool) (delta int, bytesDel
 	return delta + 1, bytesDelta + int64(len(c)), true
 }
 
-// add inserts the state unless it is subsumed, reporting whether it is new.
-// See the type comment for the zone-ownership protocol.
-func (st *store) add(s *State) bool {
-	delta, bytesDelta, admitted := lookupEntry(st.buckets, s, &st.intern).admit(s, st.cpool)
-	st.zones += delta
-	if bytesDelta != 0 {
-		st.zoneBytes.Add(bytesDelta)
-	}
-	return admitted
-}
-
-// Add is an alias of add kept for test readability.
-func (st *store) Add(s *State) bool { return st.add(s) }
-
-// size returns the number of stored maximal zones.
-func (st *store) size() int { return st.zones }
-
-// Len returns the number of stored maximal zones.
-func (st *store) Len() int { return st.zones }
-
-// bytes returns the stored footprint: packed zones plus interned vectors.
-func (st *store) bytes() int64 { return st.zoneBytes.Load() + st.intern.bytes.Load() }
-
-func (st *store) internStats() (hits, misses int64) {
-	return st.intern.hits.Load(), st.intern.misses.Load()
-}
-
-// contention is always 0: the sequential store has no locks to wait on.
-func (st *store) contention() int64 { return 0 }
-
 // internTable deduplicates the discrete vectors held by store entries:
 // location vectors and variable valuations are interned separately (each
 // repeats across many entries even though their combination is unique per
 // entry), content-addressed by a word-wise hash with full collision
-// comparison. Lookups and inserts happen under the owning store's/shard's
+// comparison. Lookups and inserts happen under the owning shard's
 // lock; the counters are atomics because the Monitor and the memory budget
 // read them while workers add.
 type internTable struct {
@@ -286,93 +330,3 @@ func (t *internTable) internVars(vars []int64) []uint64 {
 	t.bytes.Add(int64(len(v)) * 8)
 	return v
 }
-
-// pstore is the concurrent passed-state store of the parallel frontier: the
-// bucket space is sharded and each shard carries its own lock, so workers
-// exploring disjoint regions of the zone graph rarely contend. Zone
-// ownership follows the same protocol as the sequential store (see the store
-// type comment): stored zones are packed copies owned exclusively by the
-// pstore. Each shard owns its own compact pool and intern table, used only
-// under the shard lock — a discrete state always hashes to the same shard,
-// so repeats of its vectors intern within that shard.
-type pstore struct {
-	shards    []pshard
-	mask      uint64 // len(shards)-1; the count is a power of two
-	zones     atomic.Int64
-	zoneBytes atomic.Int64
-	// contended counts adds that found their shard lock held (TryLock
-	// failed) and had to block — the sweep profile's store-contention total.
-	contended atomic.Int64
-}
-
-// pshard is one lock shard, padded to its own cache line against false
-// sharing between neighboring shards.
-type pshard struct {
-	mu      sync.Mutex
-	buckets map[uint64][]*storeEntry
-	cpool   *dbm.CompactPool
-	intern  internTable
-	_       [48]byte
-}
-
-// newPStore returns a sharded store with the given shard count, which must
-// be a power of two (Options.storeShardCount guarantees it).
-func newPStore(shards int) *pstore {
-	st := &pstore{shards: make([]pshard, shards), mask: uint64(shards - 1)}
-	for i := range st.shards {
-		st.shards[i].buckets = make(map[uint64][]*storeEntry)
-		st.shards[i].cpool = dbm.NewCompactPool()
-		st.shards[i].intern.init()
-	}
-	return st
-}
-
-// add inserts the state unless it is subsumed, reporting whether it is new.
-// The subsumption logic mirrors store.add under the shard lock; the packed
-// copy is drawn from the shard's compact pool and pruned zones are released
-// into it.
-func (st *pstore) add(s *State) bool {
-	sh := &st.shards[s.discreteKey()&st.mask]
-	// The unlock is deferred so a panic inside the admission (contained per
-	// worker by explorer.runContained) releases the shard instead of hanging
-	// every other worker that hashes to it; the open-coded defer costs no
-	// allocation. The run is failing at that point, so the possibly
-	// half-admitted entry is only ever read by workers about to observe the
-	// stop flag — and the store, like the pools, dies with the run.
-	if !sh.mu.TryLock() {
-		st.contended.Add(1)
-		sh.mu.Lock()
-	}
-	defer sh.mu.Unlock()
-	delta, bytesDelta, admitted := lookupEntry(sh.buckets, s, &sh.intern).admit(s, sh.cpool)
-	if delta != 0 {
-		st.zones.Add(int64(delta))
-	}
-	if bytesDelta != 0 {
-		st.zoneBytes.Add(bytesDelta)
-	}
-	return admitted
-}
-
-// size returns the number of stored maximal zones.
-func (st *pstore) size() int { return int(st.zones.Load()) }
-
-// bytes returns the stored footprint: packed zones plus interned vectors.
-func (st *pstore) bytes() int64 {
-	total := st.zoneBytes.Load()
-	for i := range st.shards {
-		total += st.shards[i].intern.bytes.Load()
-	}
-	return total
-}
-
-func (st *pstore) internStats() (hits, misses int64) {
-	for i := range st.shards {
-		hits += st.shards[i].intern.hits.Load()
-		misses += st.shards[i].intern.misses.Load()
-	}
-	return hits, misses
-}
-
-// contention counts adds that had to wait for a shard lock.
-func (st *pstore) contention() int64 { return st.contended.Load() }

@@ -120,7 +120,7 @@ func (sh *shadowStore) internStats() (hits, misses int64) { return sh.fast.inter
 func (sh *shadowStore) contention() int64                 { return sh.fast.contention() }
 
 // TestCompactStoreShadowMatchesReference asserts every admission decision of
-// the compact store (sequential and sharded) equals the full-DBM reference's
+// the compact store (single-shard and sharded) equals the full-DBM reference's
 // on a real exploration, sequentially and with racing workers (-race covers
 // the concurrent paths).
 func TestCompactStoreShadowMatchesReference(t *testing.T) {
@@ -130,12 +130,11 @@ func TestCompactStoreShadowMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fast passedSet
+		shards := 1
 		if workers > 1 {
-			fast = newPStore(64)
-		} else {
-			fast = newStore()
+			shards = parallelStoreShards
 		}
+		fast := newStore(shards)
 		sh := &shadowStore{fast: fast, ref: newRefStore()}
 		res, err := c.Explore(Options{Workers: workers, passed: sh}, nil)
 		if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dbm"
@@ -19,7 +20,7 @@ func TestPStoreConcurrentSubsumingAdds(t *testing.T) {
 		chains  = 4  // incomparable families (distinct lower bounds)
 		depth   = 32 // subsuming zones per family (growing upper bounds)
 	)
-	st := newPStore(64)
+	st := newStore(parallelStoreShards)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 
@@ -239,6 +240,59 @@ func TestWSDequeConcurrentStealers(t *testing.T) {
 	}
 	if len(seen) != total {
 		t.Fatalf("consumed %d distinct states, want %d", len(seen), total)
+	}
+}
+
+// TestWSDequeGrowsFromCapacityOne starts a deque at the smallest ring the
+// constructor accepts, so nearly every owner push past the first grows the
+// ring, while two thieves steal concurrently: growth must never lose or
+// duplicate a state. Run with -race.
+func TestWSDequeGrowsFromCapacityOne(t *testing.T) {
+	const total = 5000
+	const thieves = 2
+	d := newWSDeque(1)
+	consumed := make([]atomic.Int32, total)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for i := 0; i < thieves; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if s := d.steal(); s != nil {
+					consumed[s.Vars[0]].Add(1)
+					continue
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for i := 0; i < total; i++ {
+		d.push(&State{Vars: []int64{int64(i)}})
+		if i%7 == 0 {
+			// An occasional owner pop keeps both ends of the ring moving.
+			if s := d.pop(); s != nil {
+				consumed[s.Vars[0]].Add(1)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	// Thieves are gone: the owner drains what is left.
+	for s := d.pop(); s != nil; s = d.pop() {
+		consumed[s.Vars[0]].Add(1)
+	}
+	if size := d.ring.Load().mask + 1; size < 2 {
+		t.Errorf("ring never grew past capacity 1 (size %d)", size)
+	}
+	for i := range consumed {
+		if n := consumed[i].Load(); n != 1 {
+			t.Fatalf("state %d consumed %d times, want exactly once", i, n)
+		}
 	}
 }
 

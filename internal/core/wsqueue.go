@@ -41,7 +41,7 @@ func (r *wsRing) grow(top, bottom int64) *wsRing {
 }
 
 // newWSDeque returns a deque whose ring starts at the given capacity, which
-// must be a power of two (Options.dequeCapacity guarantees it); the ring
+// must be a power of two (the engine starts at dequeCapacity); the ring
 // doubles on overflow.
 func newWSDeque(capacity int64) *wsDeque {
 	d := &wsDeque{}

@@ -18,13 +18,13 @@ type Span struct {
 // End returns the span's end in Unix nanoseconds.
 func (s Span) End() int64 { return s.StartNS + s.DurNS }
 
-// NewSpan builds a span from a wall-clock interval.
+// NewSpan builds a span from a wall-clock interval. Start and duration both
+// come from the wall-clock readings, so spans that share a boundary instant
+// abut exactly; a monotonic duration added to a wall-clock start drifts by
+// the clock's slew and makes such neighbors overlap.
 func NewSpan(name string, start, end time.Time) Span {
-	d := end.Sub(start)
-	if d < 0 {
-		d = 0
-	}
-	return Span{Name: name, StartNS: start.UnixNano(), DurNS: d.Nanoseconds()}
+	s, e := start.UnixNano(), end.UnixNano()
+	return Span{Name: name, StartNS: s, DurNS: max(e-s, 0)}
 }
 
 // SpanList is a concurrency-safe ordered span recorder. Recording locks a

@@ -289,22 +289,18 @@ func (r *run) sampleArrivals(sc *arch.Scenario) []int64 {
 			t += gap
 		}
 	case arch.KindPeriodicJitter:
+		// The k-th event falls in [kP, kP+J]: the model fixes the phase at
+		// 0, as the checker's automaton does, so it is not sampled.
 		jitter, _ := arch.ToUnits(m.JitterMS, r.scale)
-		phase := r.rng.Int63n(period)
-		for k := int64(0); ; k++ {
-			t := phase + k*period + r.rng.Int63n(jitter+1)
-			if phase+k*period > r.horizon {
-				break
-			}
-			times = append(times, t)
+		for k := int64(0); k*period <= r.horizon; k++ {
+			times = append(times, k*period+r.rng.Int63n(jitter+1))
 		}
 	case arch.KindBursty:
 		jitter, _ := arch.ToUnits(m.JitterMS, r.scale)
 		minSep, _ := arch.ToUnits(m.MinSepMS, r.scale)
-		phase := r.rng.Int63n(period)
 		var raw []int64
-		for k := int64(0); phase+k*period <= r.horizon; k++ {
-			raw = append(raw, phase+k*period+r.rng.Int63n(jitter+1))
+		for k := int64(0); k*period <= r.horizon; k++ {
+			raw = append(raw, k*period+r.rng.Int63n(jitter+1))
 		}
 		// Order-preserving FIFO release with the minimal separation.
 		sortInt64(raw)
@@ -424,10 +420,13 @@ func (r *run) start(now int64, res *resource, inst *instance) {
 }
 
 // complete finishes the running instance's current step and dispatches the
-// next pending one.
+// next pending one. The resource stays busy until the instance's next step
+// has been enqueued: a next step on the same resource then joins the queue,
+// and dispatch chooses among all waiting instances by the resource's
+// scheduler, instead of the next step starting at once ahead of a waiting
+// higher-priority instance.
 func (r *run) complete(now int64, res *resource) {
 	inst := res.running
-	res.running = nil
 	inst.doneAt[inst.step] = now
 	if inst.step+1 < len(inst.sc.Steps) {
 		inst.step++
@@ -435,6 +434,7 @@ func (r *run) complete(now int64, res *resource) {
 	} else if now <= r.horizon {
 		r.finished = append(r.finished, inst)
 	}
+	res.running = nil
 	r.dispatch(now, res)
 }
 

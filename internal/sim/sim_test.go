@@ -104,6 +104,86 @@ func TestSimulationUnderestimatesModelChecker(t *testing.T) {
 	}
 }
 
+// TestNextStepYieldsToQueuedHigherPriority pins the dispatch order on a
+// non-preemptive fixed-priority processor when an instance's next step runs
+// on the processor it just finished on. lo runs two 10 ms steps on P from
+// t=0; hi arrives at t=5 with one 5 ms step and must wait for lo's first
+// step only: at t=10 the processor picks hi over lo's second step. hi's
+// response is 10 ms and lo's 25 ms; starting lo's second step first would
+// give hi 20 ms, above the checker's WCRT for the same model.
+func TestNextStepYieldsToQueuedHigherPriority(t *testing.T) {
+	sys := arch.NewSystem("nextstep")
+	p := sys.AddProcessor("P", 10, arch.SchedFP)
+	hi := sys.AddScenario("hi", 2, arch.Periodic(arch.MS(100, 1), arch.MS(5, 1)))
+	hi.Compute("hop", p, 50000)
+	lo := sys.AddScenario("lo", 1, arch.Periodic(arch.MS(100, 1), arch.MS(0, 1)))
+	lo.Compute("lop1", p, 100000).Compute("lop2", p, 100000)
+	hiReq, loReq := arch.EndToEnd("hi", hi), arch.EndToEnd("lo", lo)
+
+	simRes, err := Simulate(sys, []*arch.Requirement{hiReq, loReq},
+		Options{Seed: 1, HorizonMS: 1000, Replications: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := simRes["hi"].MaxMS; got.Cmp(ratMS(10, 1)) != 0 {
+		t.Errorf("hi max = %s, want 10 (lo's second step must not overtake hi)", got.FloatString(3))
+	}
+	if got := simRes["lo"].MaxMS; got.Cmp(ratMS(25, 1)) != 0 {
+		t.Errorf("lo max = %s, want 25", got.FloatString(3))
+	}
+	for _, req := range []*arch.Requirement{hiReq, loReq} {
+		exact, err := arch.AnalyzeWCRT(sys, req, arch.Options{HorizonMS: 200}, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !exact.Exact {
+			t.Fatalf("%s: checker WCRT not exact", req.Name)
+		}
+		if simRes[req.Name].MaxMS.Cmp(exact.MS) > 0 {
+			t.Errorf("%s: simulated max %s exceeds the checker's WCRT %s", req.Name,
+				simRes[req.Name].MaxMS.FloatString(3), exact.MS.FloatString(3))
+		}
+	}
+}
+
+// TestJitterReleasesKeepPhaseZero pins the periodic-with-jitter model's
+// phase: the k-th event falls in [kP, kP+J], as in the checker's automaton.
+// pj's events on P land in [0, 10] mod 60 and finish by 12; po's run at
+// [30, 35] mod 60, so the two never meet and each response is its own
+// execution time. A sampled phase would let them collide, above the
+// checker's WCRT.
+func TestJitterReleasesKeepPhaseZero(t *testing.T) {
+	sys := arch.NewSystem("pjphase")
+	p := sys.AddProcessor("P", 10, arch.SchedFP)
+	pj := sys.AddScenario("pj", 2, arch.PeriodicJitter(arch.MS(60, 1), arch.MS(10, 1)))
+	pj.Compute("jop", p, 20000)
+	po := sys.AddScenario("po", 1, arch.Periodic(arch.MS(60, 1), arch.MS(30, 1)))
+	po.Compute("pop", p, 50000)
+	pjReq, poReq := arch.EndToEnd("pj", pj), arch.EndToEnd("po", po)
+
+	simRes, err := Simulate(sys, []*arch.Requirement{pjReq, poReq},
+		Options{Seed: 4, HorizonMS: 2000, Replications: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		req  *arch.Requirement
+		want int64
+	}{{pjReq, 2}, {poReq, 5}} {
+		if got := simRes[c.req.Name].MaxMS; got.Cmp(ratMS(c.want, 1)) != 0 {
+			t.Errorf("%s max = %s, want %d", c.req.Name, got.FloatString(3), c.want)
+		}
+		exact, err := arch.AnalyzeWCRT(sys, c.req, arch.Options{HorizonMS: 200}, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !exact.Exact || simRes[c.req.Name].MaxMS.Cmp(exact.MS) > 0 {
+			t.Errorf("%s: simulated max %s above the checker's WCRT %s (exact %v)", c.req.Name,
+				simRes[c.req.Name].MaxMS.FloatString(3), exact.MS.FloatString(3), exact.Exact)
+		}
+	}
+}
+
 func TestPreemptiveSimBeatsNonPreemptiveForHi(t *testing.T) {
 	sysN, hiN, _ := contended(arch.SchedFP, arch.KindPeriodicUnknownOffset)
 	sysP, hiP, _ := contended(arch.SchedFPPreempt, arch.KindPeriodicUnknownOffset)
